@@ -14,9 +14,10 @@
 //!   every golden snapshot bit-identical.
 //! * **Per-set RNG streams keyed by global set index.** Sampler seeds
 //!   depend only on `(stream seed, set index)`, never on batch boundaries,
-//!   so a graph delta can resample exactly the invalidated sets in place
-//!   ([`rm_rrsets::RrArena::replace_sets`]) and every surviving set keeps
-//!   the stream that produced it.
+//!   so a graph delta can resample exactly the invalidated sets in place,
+//!   in one batched call ([`rm_rrsets::RrArena::repair_changed`] over
+//!   [`rm_rrsets::PreparedSampler::sample_indices`]), and every surviving
+//!   set keeps the stream that produced it.
 //! * **Target-only invalidation.** A reverse RR walk examines the in-edges
 //!   of exactly the nodes it visits, so a set's trace can touch a changed
 //!   edge `(u, v)` only if the set contains the *target* `v`. Sets free of
@@ -80,6 +81,8 @@ pub struct GraphDelta {
 impl GraphDelta {
     /// Bitmap of nodes whose in-edge slots changed — the edge *targets*.
     /// Only RR sets containing one of these can have a diverging trace.
+    /// Every endpoint must be below `n` ([`ResidentEngine::apply_graph_delta`]
+    /// checks this and rejects the delta otherwise).
     pub fn changed_targets(&self, n: usize) -> Vec<bool> {
         let mut changed = vec![false; n];
         for &(_, v) in self.inserts.iter().chain(self.removes.iter()) {
@@ -137,6 +140,8 @@ pub enum ResidentError {
     /// Graph deltas need retained RR sets; the batch wrapper runs with
     /// retention off.
     SetsNotRetained,
+    /// A graph delta named a node at or past the instance's node count.
+    DeltaNodeOutOfRange(NodeId),
 }
 
 impl std::fmt::Display for ResidentError {
@@ -152,6 +157,9 @@ impl std::fmt::Display for ResidentError {
             }
             ResidentError::SetsNotRetained => {
                 write!(f, "graph deltas require retained RR sets (resident mode)")
+            }
+            ResidentError::DeltaNodeOutOfRange(v) => {
+                write!(f, "graph delta names node {v}, outside the instance")
             }
         }
     }
@@ -332,9 +340,12 @@ impl<'a> ResidentEngine<'a> {
     /// post-delta instance, then invalidates and resamples — in place,
     /// under unchanged per-set RNG streams — exactly the RR sets whose
     /// traces could have touched a changed edge (the sets containing a
-    /// changed-edge target). Coverage indexes are rebuilt from the repaired
-    /// arenas, heaps rebuilt, cached candidates dropped, and selection
-    /// re-runs to convergence with all committed seeds kept.
+    /// changed-edge target), in one batched sampler call per stream.
+    /// Private coverage indexes are repaired in place (the replaced sets
+    /// leave, their replacements are ingested); pool tenants re-ingest their
+    /// view of the repaired group arena. Heaps are rebuilt, cached
+    /// candidates dropped, and selection re-runs to convergence with all
+    /// committed seeds kept.
     ///
     /// θ and the KPT pilots are **not** re-estimated: Eq. 8's sample sizes
     /// were calibrated on the pre-delta graph and are carried over (the
@@ -344,7 +355,9 @@ impl<'a> ResidentEngine<'a> {
     ///
     /// The invalidated/resampled counts land in
     /// [`RunStats::delta_invalidated_sets`] /
-    /// [`RunStats::delta_resampled_sets`] and in the returned event.
+    /// [`RunStats::delta_resampled_sets`] and in the returned event. A delta
+    /// naming a node outside the instance is rejected with
+    /// [`ResidentError::DeltaNodeOutOfRange`] before anything changes.
     pub fn apply_graph_delta(
         &mut self,
         new_inst: Arc<RmInstance>,
@@ -357,6 +370,17 @@ impl<'a> ResidentEngine<'a> {
         }
         if !self.ctx.retain_sets {
             return Err(ResidentError::SetsNotRetained);
+        }
+        // Validated before the instance swap, so a rejected delta leaves
+        // the engine untouched.
+        if let Some(&v) = delta
+            .inserts
+            .iter()
+            .chain(&delta.removes)
+            .flat_map(|(u, v)| [u, v])
+            .find(|&&v| v as usize >= n)
+        {
+            return Err(ResidentError::DeltaNodeOutOfRange(v));
         }
         let changed = delta.changed_targets(n);
         self.ctx.inst = InstHandle::Owned(new_inst);
@@ -386,23 +410,21 @@ impl<'a> ResidentEngine<'a> {
             st.sampler = sampler;
             let mode = rr_pool.map_or(TenantMode::Private, |p| p.mode(j));
             if mode == TenantMode::Private {
-                // Private selection stream: targeted in-place resample,
-                // then rebuild the index from the repaired arena. Ingesting
-                // with the seed mask reproduces the incremental state: a
-                // set is covered iff it contains one of the ad's seeds.
-                invalidated += resample_invalidated(
+                // Private selection stream: batched in-place resample, then
+                // a targeted repair of its index.
+                invalidated += repair_stream(
                     &mut st.sel_sets,
+                    &mut st.cov,
                     &st.sampler,
                     g,
                     st.sample_seed,
                     &changed,
+                    &st.is_seed,
                 );
-                let mut cov = RrCoverage::new(n);
-                cov.add_batch(&st.sel_sets, &st.is_seed);
-                st.cov = cov;
             } else {
                 // Pool tenant: the group arena was repaired above; re-ingest
-                // the ad's θ-view (weighted for reweighted tenants).
+                // the ad's θ-view (weighted for reweighted tenants, whose
+                // float sums depend on ingest order).
                 st.cov = if mode == TenantMode::Reweighted {
                     RrCoverage::new_weighted(n)
                 } else {
@@ -414,11 +436,15 @@ impl<'a> ResidentEngine<'a> {
             }
             // The validation stream (OnlineBounds) is always private.
             if let Some(op) = st.opim.as_mut() {
-                invalidated +=
-                    resample_invalidated(&mut st.val_sets, &st.sampler, g, op.val_seed, &changed);
-                let mut val_cov = RrCoverage::new(n);
-                val_cov.add_batch(&st.val_sets, &st.is_seed);
-                op.val_cov = val_cov;
+                invalidated += repair_stream(
+                    &mut st.val_sets,
+                    &mut op.val_cov,
+                    &st.sampler,
+                    g,
+                    op.val_seed,
+                    &changed,
+                    &st.is_seed,
+                );
             }
             st.candidate = None;
             st.exhausted = false;
@@ -645,29 +671,79 @@ impl<'a> ResidentEngine<'a> {
     }
 }
 
-/// Resamples — in place, under the unchanged per-set stream seeds — the
-/// sets of `arena` containing a changed-edge target, on the new graph.
-/// Returns the number of sets replaced.
-fn resample_invalidated(
+#[cfg(test)]
+impl ResidentEngine<'_> {
+    /// Test oracle of delta repair: every private coverage index (the
+    /// selection index of a non-pooled ad, and every validation index)
+    /// must hold exactly the counts of a cold ingest of its retained arena
+    /// under the ad's seed mask.
+    pub(crate) fn assert_private_indexes_match_arenas(&self) {
+        let n = self.ctx.inst().num_nodes();
+        let cold = |sets: &RrArena, is_seed: &[bool]| {
+            let mut cov = RrCoverage::new(n);
+            cov.add_batch(sets, is_seed);
+            cov
+        };
+        let same = |got: &RrCoverage, want: &RrCoverage, what: &str, j: usize| {
+            assert_eq!(got.num_sets(), want.num_sets(), "ad {j} {what}: θ");
+            assert_eq!(
+                got.covered_total(),
+                want.covered_total(),
+                "ad {j} {what}: covered"
+            );
+            for v in 0..n as NodeId {
+                assert_eq!(
+                    got.coverage(v),
+                    want.coverage(v),
+                    "ad {j} {what}: coverage({v})"
+                );
+            }
+        };
+        for st in self.ads.iter().flatten() {
+            let mode = self
+                .rr_pool
+                .as_ref()
+                .map_or(TenantMode::Private, |p| p.mode(st.idx));
+            if mode == TenantMode::Private {
+                same(&st.cov, &cold(&st.sel_sets, &st.is_seed), "cov", st.idx);
+            }
+            if let Some(op) = &st.opim {
+                same(
+                    &op.val_cov,
+                    &cold(&st.val_sets, &st.is_seed),
+                    "val_cov",
+                    st.idx,
+                );
+            }
+        }
+    }
+}
+
+/// Repairs one private stream after a graph delta: resamples — in place,
+/// under the unchanged per-set stream seeds, in one batched call — the sets
+/// of `arena` holding a changed-edge target on the new graph, then repairs
+/// `cov` in place ([`RrCoverage::repair_sets`]): a replaced set counted as
+/// covered iff its pre-delta content held one of the ad's seeds. Returns the
+/// number of sets replaced.
+fn repair_stream(
     arena: &mut RrArena,
+    cov: &mut RrCoverage,
     sampler: &PreparedSampler,
     g: &CsrGraph,
     seed: u64,
     changed: &[bool],
+    is_seed: &[bool],
 ) -> u64 {
-    let ids: Vec<usize> = (0..arena.len())
-        .filter(|&i| arena.get(i).iter().any(|&u| changed[u as usize]))
-        .collect();
-    if ids.is_empty() {
-        return 0;
+    let mut covered_before = 0;
+    let repl = arena.repair_changed(changed, |old, ids| {
+        covered_before = ids
+            .iter()
+            .filter(|&&i| old.get(i).iter().any(|&u| is_seed[u as usize]))
+            .count();
+        sampler.sample_indices(g, ids, seed)
+    });
+    if !repl.is_empty() {
+        cov.repair_sets(changed, covered_before, &repl, is_seed);
     }
-    let mut repl = RrArena::new();
-    for &id in &ids {
-        // Per-set seeds depend only on the global set index, so a one-set
-        // batch at `first_index = id` replays exactly set `id`'s stream.
-        let (one, _) = sampler.sample_batch(g, 1, seed, id as u64);
-        repl.append(&one);
-    }
-    arena.replace_sets(&ids, &repl);
-    ids.len() as u64
+    repl.len() as u64
 }

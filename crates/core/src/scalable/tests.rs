@@ -1208,3 +1208,218 @@ fn resident_rejects_invalid_operations_with_typed_errors() {
         ResidentError::SetsNotRetained
     );
 }
+
+/// The graph delta turning `old` into `new` (set differences of the two
+/// edge lists).
+fn edge_delta(
+    old: &[(rm_graph::NodeId, rm_graph::NodeId)],
+    new: &[(rm_graph::NodeId, rm_graph::NodeId)],
+) -> GraphDelta {
+    let (a, b): (std::collections::HashSet<_>, std::collections::HashSet<_>) =
+        (old.iter().copied().collect(), new.iter().copied().collect());
+    GraphDelta {
+        inserts: new.iter().copied().filter(|e| !a.contains(e)).collect(),
+        removes: old.iter().copied().filter(|e| !b.contains(e)).collect(),
+    }
+}
+
+/// Two-topic TIC instance over an explicit edge list whose per-topic edge
+/// probabilities depend only on the edge's endpoints and the target's
+/// in-degree, so a graph delta changes exactly the in-edges of its targets.
+/// The three ads mix the topics differently, so a pooled run serves two of
+/// them through importance weights.
+fn topical_edges_instance(
+    n: usize,
+    edges: &[(rm_graph::NodeId, rm_graph::NodeId)],
+    seed: u64,
+) -> RmInstance {
+    let g = Arc::new(rm_graph::builder::graph_from_edges(n, edges));
+    let probs: Vec<f32> = g
+        .edges()
+        .flat_map(|(_, u, v)| {
+            let wc = 1.0 / g.in_degree(v) as f32;
+            let c = 0.3 + 0.1 * ((u ^ v) % 7) as f32;
+            [c * wc, (1.0 - c) * wc]
+        })
+        .collect();
+    let tic = Arc::new(TicModel::from_matrix(&g, 2, probs));
+    let ads = [[0.6, 0.4], [0.4, 0.6], [0.5, 0.5]]
+        .iter()
+        .map(|m| Advertiser::new(1.0, 50.0, TopicDistribution::new(m)))
+        .collect();
+    RmInstance::build_tic(
+        g,
+        tic,
+        ads,
+        IncentiveModel::Linear { alpha: 0.2 },
+        SingletonMethod::RrEstimate { theta: 20_000 },
+        seed ^ 0x1111,
+    )
+}
+
+/// One churn script with two graph deltas, replayed on a resident engine:
+/// batch admission, delta, arrival, departure, delta, re-arrival. After each
+/// delta every private coverage index must equal a cold ingest of its
+/// repaired arena. Returns the event log as `(rounds, revenue bits,
+/// seeds_total, invalidated, resampled)` per event.
+fn delta_churn_log(cfg: ScalableConfig, topical: bool) -> Vec<(usize, u64, usize, u64, u64)> {
+    let n = 300;
+    let base = ba_edges(n, 9);
+    let mut edges_a = base[..base.len() - 6].to_vec();
+    edges_a.extend([(7, 150), (260, 11), (42, 3)]);
+    let mut edges_b = edges_a[6..].to_vec();
+    edges_b.extend([(150, 7), (3, 299)]);
+    let inst = |edges: &[_]| {
+        Arc::new(if topical {
+            topical_edges_instance(n, edges, 9)
+        } else {
+            wc_edges_instance(n, edges, 3, 50.0, 0.2, 9)
+        })
+    };
+    let (i0, ia, ib) = (inst(&base), inst(&edges_a), inst(&edges_b));
+    let mut eng = ResidentEngine::new(i0, AlgorithmKind::TiCsrm, cfg).unwrap();
+    eng.add_advertisers(&[0, 1]).unwrap();
+    eng.apply_graph_delta(ia, &edge_delta(&base, &edges_a))
+        .unwrap();
+    eng.assert_private_indexes_match_arenas();
+    eng.add_advertiser(2).unwrap();
+    eng.remove_advertiser(0).unwrap();
+    eng.apply_graph_delta(ib, &edge_delta(&edges_a, &edges_b))
+        .unwrap();
+    eng.assert_private_indexes_match_arenas();
+    eng.add_advertiser(0).unwrap();
+    eng.events()
+        .iter()
+        .map(|e| {
+            (
+                e.rounds,
+                e.revenue.to_bits(),
+                e.seeds_total,
+                e.invalidated_sets,
+                e.resampled_sets,
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn resident_delta_churn_log_is_pinned() {
+    // Pinned event logs of one delta churn script under each stream layout
+    // (private / pooled selection, fixed θ / OnlineBounds, importance-
+    // weighted pool tenants). Delta repair
+    // replays the invalidated sets under their own per-set streams and
+    // repairs the indexes count-exactly, so any change to how it does
+    // either must leave these logs bit-identical.
+    let pooled_online = ScalableConfig {
+        rr_sharing: true,
+        ..online_cfg(5)
+    };
+    let cases = [
+        (test_cfg(5), false, PINNED_PRIVATE_FIXED),
+        (pooled_cfg(5), false, PINNED_POOLED_FIXED),
+        (online_cfg(5), false, PINNED_PRIVATE_ONLINE),
+        (pooled_online, false, PINNED_POOLED_ONLINE),
+        (pooled_cfg(5), true, PINNED_REWEIGHTED_FIXED),
+    ];
+    for (cfg, topical, want) in cases {
+        let got = delta_churn_log(cfg, topical);
+        assert_eq!(
+            got, want,
+            "event log moved (sharing={}, sampling={:?}, topical={topical})",
+            cfg.rr_sharing, cfg.sampling
+        );
+        assert!(got[1].3 > 0 && got[4].3 > 0, "deltas invalidated nothing");
+    }
+}
+
+// Event logs of `delta_churn_log`, recorded from the per-set resample and
+// full-reindex repair this crate used before batched repair, as
+// `(rounds, revenue bits, seeds_total, invalidated, resampled)`.
+const PINNED_PRIVATE_FIXED: [(usize, u64, usize, u64, u64); 6] = [
+    (23, 4635442456440730815, 23, 0, 0),
+    (0, 4635283419833735325, 23, 24831, 24831),
+    (11, 4637972940566937337, 34, 0, 0),
+    (1, 4635290663593100899, 24, 0, 0),
+    (0, 4635286940347350856, 24, 45420, 45420),
+    (13, 4638134524417164664, 37, 0, 0),
+];
+const PINNED_POOLED_FIXED: [(usize, u64, usize, u64, u64); 6] = [
+    (22, 4635195621152524323, 22, 0, 0),
+    (2, 4635392891740597686, 24, 11563, 11563),
+    (12, 4638252686499747287, 36, 0, 0),
+    (0, 4635465863928132218, 23, 0, 0),
+    (0, 4635425052762235726, 23, 21763, 21763),
+    (13, 4638274886832424508, 36, 0, 0),
+];
+const PINNED_PRIVATE_ONLINE: [(usize, u64, usize, u64, u64); 6] = [
+    (23, 4635264462655024439, 23, 0, 0),
+    (0, 4635158215364080268, 23, 6227, 6227),
+    (12, 4637923302979195414, 35, 0, 0),
+    (0, 4635185919408418639, 24, 0, 0),
+    (0, 4635158264262615511, 24, 11363, 11363),
+    (12, 4637907147551167148, 36, 0, 0),
+];
+const PINNED_POOLED_ONLINE: [(usize, u64, usize, u64, u64); 6] = [
+    (23, 4635028819440707426, 23, 0, 0),
+    (2, 4635368021003608362, 25, 4371, 4371),
+    (11, 4638255645122132613, 36, 0, 0),
+    (0, 4635429855724107493, 23, 0, 0),
+    (0, 4635456588618824624, 23, 8128, 8128),
+    (12, 4638247707091244655, 35, 0, 0),
+];
+const PINNED_REWEIGHTED_FIXED: [(usize, u64, usize, u64, u64); 6] = [
+    (55, 4635529878741242096, 55, 0, 0),
+    (0, 4635537974131677102, 55, 17282, 17282),
+    (26, 4638464726581688394, 81, 0, 0),
+    (0, 4635552948006441014, 55, 0, 0),
+    (0, 4635543782679915002, 55, 34146, 34146),
+    (26, 4638571411637699376, 81, 0, 0),
+];
+
+#[test]
+fn resident_rejects_out_of_range_delta_nodes_without_side_effects() {
+    // A delta naming a node past the instance is a typed error raised
+    // before the instance swap: the log and allocation stay as they were,
+    // and a later valid delta repairs exactly as on an engine that never
+    // saw the bad one.
+    let n = 300;
+    let edges = ba_edges(n, 9);
+    let new_edges = edges[..edges.len() - 2].to_vec();
+    let inst = Arc::new(wc_edges_instance(n, &edges, 2, 50.0, 0.2, 9));
+    let new_inst = Arc::new(wc_edges_instance(n, &new_edges, 2, 50.0, 0.2, 9));
+    let good = edge_delta(&edges, &new_edges);
+    let run = |bad: Option<GraphDelta>| {
+        let mut eng =
+            ResidentEngine::new(Arc::clone(&inst), AlgorithmKind::TiCsrm, test_cfg(3)).unwrap();
+        eng.add_advertisers(&[0, 1]).unwrap();
+        if let Some(bad) = bad {
+            let (events, alloc) = (eng.events().to_vec(), eng.allocation());
+            let err = eng
+                .apply_graph_delta(Arc::clone(&new_inst), &bad)
+                .unwrap_err();
+            assert_eq!(
+                err,
+                ResidentError::DeltaNodeOutOfRange(n as rm_graph::NodeId)
+            );
+            assert_eq!(eng.events(), &events[..], "rejected delta was logged");
+            assert_eq!(eng.allocation(), alloc, "rejected delta moved seeds");
+        }
+        eng.apply_graph_delta(Arc::clone(&new_inst), &good).unwrap();
+        let events = eng.events().to_vec();
+        let (alloc, stats) = eng.finish();
+        (events, alloc, deterministic_stats(&stats))
+    };
+    let clean = run(None);
+    for bad in [
+        GraphDelta {
+            inserts: vec![(0, n as rm_graph::NodeId)],
+            removes: Vec::new(),
+        },
+        GraphDelta {
+            inserts: Vec::new(),
+            removes: vec![(n as rm_graph::NodeId, 1)],
+        },
+    ] {
+        assert_eq!(run(Some(bad)), clean);
+    }
+}

@@ -103,10 +103,21 @@ impl RrArena {
     /// Splices `other`'s sets onto the end, preserving their order — how
     /// per-thread sampling arenas are merged in set-index order.
     pub fn append(&mut self, other: &RrArena) {
-        let base = self.nodes.len() as u64;
-        self.nodes.extend_from_slice(&other.nodes);
-        self.offsets
-            .extend(other.offsets[1..].iter().map(|&o| base + o));
+        self.append_range(other, 0, other.len());
+    }
+
+    /// Appends sets `lo..hi` of `other` in one bulk copy, their offsets
+    /// shifted onto this arena's tail.
+    fn append_range(&mut self, other: &RrArena, lo: usize, hi: usize) {
+        let (a, b) = (other.offsets[lo], other.offsets[hi]);
+        let shift = (self.nodes.len() as u64).wrapping_sub(a);
+        self.nodes
+            .extend_from_slice(&other.nodes[a as usize..b as usize]);
+        self.offsets.extend(
+            other.offsets[lo + 1..=hi]
+                .iter()
+                .map(|&o| o.wrapping_add(shift)),
+        );
     }
 
     /// Replaces the sets at `ids` (strictly ascending) with the sets of
@@ -128,22 +139,50 @@ impl RrArena {
         // contract check as above.
         assert!(*ids.last().unwrap() < self.len(), "replace id out of range");
         let kept = self.nodes.len() - ids.iter().map(|&i| self.get(i).len()).sum::<usize>();
-        let mut nodes: Vec<NodeId> = Vec::with_capacity(kept + repl.total_nodes());
-        let mut offsets: Vec<u64> = Vec::with_capacity(self.offsets.len());
-        offsets.push(0);
-        let mut r = 0usize;
-        for sid in 0..self.len() {
-            let set = if r < ids.len() && ids[r] == sid {
-                r += 1;
-                repl.get(r - 1)
-            } else {
-                self.get(sid)
-            };
-            nodes.extend_from_slice(set);
-            offsets.push(nodes.len() as u64);
+        let mut out = RrArena::with_capacity(self.len(), kept + repl.total_nodes());
+        // Kept sets move in runs: one bulk copy per run between two
+        // replaced ids.
+        let mut next = 0usize;
+        for (r, &id) in ids.iter().enumerate() {
+            out.append_range(self, next, id);
+            out.append_range(repl, r, r + 1);
+            next = id + 1;
         }
-        self.offsets = offsets;
-        self.nodes = nodes;
+        out.append_range(self, next, self.len());
+        *self = out;
+    }
+
+    /// Graph-delta repair of one retained arena, shared by every stream
+    /// that keeps its sets across deltas (private selection and validation
+    /// streams, pool groups). Locates the sets holding a changed-edge target
+    /// (`changed[v]`) — the only sets whose reverse walk can diverge on the
+    /// new graph — has `resample(old, ids)` replay them (`old` is the
+    /// pre-delta arena, `ids` the invalidated set ids, ascending), and
+    /// splices the replacements in place. Returns the replacements, one per
+    /// invalidated id in id order (empty when nothing was invalidated, in
+    /// which case `resample` is not called).
+    pub fn repair_changed(
+        &mut self,
+        changed: &[bool],
+        resample: impl FnOnce(&RrArena, &[usize]) -> RrArena,
+    ) -> RrArena {
+        // One pass over the flat node array; a hit is mapped to its set by
+        // binary search on the offsets, and the scan resumes past that set.
+        let mut ids: Vec<usize> = Vec::new();
+        let mut pos = 0usize;
+        while let Some(k) = self.nodes[pos..].iter().position(|&u| changed[u as usize]) {
+            // The last set starting at or before the hit (empty sets
+            // sharing its start offset come first) is the one holding it.
+            let sid = self.offsets.partition_point(|&o| o as usize <= pos + k) - 1;
+            ids.push(sid);
+            pos = self.offsets[sid + 1] as usize;
+        }
+        if ids.is_empty() {
+            return RrArena::new();
+        }
+        let repl = resample(self, &ids);
+        self.replace_sets(&ids, &repl);
+        repl
     }
 
     /// Ensures capacity for at least `total` member nodes overall.
@@ -227,6 +266,30 @@ mod tests {
         a.replace_sets(&[0], &repl2);
         assert_eq!(a.get(0), &[] as &[NodeId]);
         assert_eq!(a.len(), 4);
+    }
+
+    #[test]
+    fn repair_changed_replaces_exactly_the_sets_holding_a_changed_node() {
+        // Empty sets sit right before a hit set (sharing its start offset)
+        // and between hit sets; only the sets holding node 2 are replaced.
+        let mut a: RrArena = [&[1u32, 2][..], &[], &[2, 5], &[3], &[], &[4, 2], &[0]]
+            .into_iter()
+            .collect();
+        let changed = [false, false, true, false, false, false];
+        let repl = a.repair_changed(&changed, |old, ids| {
+            assert_eq!(ids, &[0, 2, 5]);
+            assert_eq!(old.get(5), &[4, 2], "resample sees the pre-delta sets");
+            [&[7u32][..], &[], &[8, 9]].into_iter().collect()
+        });
+        let expect: RrArena = [&[7u32][..], &[], &[], &[3], &[], &[8, 9], &[0]]
+            .into_iter()
+            .collect();
+        assert_eq!(a, expect);
+        assert_eq!(repl.len(), 3);
+        // Nothing invalidated: the arena is untouched and nothing resampled.
+        let none = a.repair_changed(&[false; 10], |_, _| unreachable!());
+        assert!(none.is_empty());
+        assert_eq!(a, expect);
     }
 
     #[test]

@@ -464,15 +464,24 @@ impl RrCoverage {
     /// (or are flagged covered) and their contribution stays in
     /// [`Self::covered_total`].
     pub fn tombstone_containing(&mut self, v: NodeId) -> usize {
-        let mut k = self.inv_offsets[v as usize] as usize;
-        let end = self.inv_offsets[v as usize + 1] as usize;
-        let mut sid = 0u32;
+        self.tombstone_holding(&[v], |u| u == v)
+    }
+
+    /// Tombstones every live set holding one of `nodes` (`holds(u)` must be
+    /// true exactly for the members of `nodes`): one inverted-list walk per
+    /// node, and a single pass over the pending tail for all of them.
+    fn tombstone_holding(&mut self, nodes: &[NodeId], holds: impl Fn(NodeId) -> bool) -> usize {
         let mut dropped = 0usize;
-        while k < end {
-            sid += varint_read(&self.inv_bytes, &mut k);
-            if !self.covered[sid as usize] {
-                self.drop_set(sid as usize);
-                dropped += 1;
+        for &v in nodes {
+            let mut k = self.inv_offsets[v as usize] as usize;
+            let end = self.inv_offsets[v as usize + 1] as usize;
+            let mut sid = 0u32;
+            while k < end {
+                sid += varint_read(&self.inv_bytes, &mut k);
+                if !self.covered[sid as usize] {
+                    self.drop_set(sid as usize);
+                    dropped += 1;
+                }
             }
         }
         // Pending sets are not in the inverted CSR yet: scan the tail, as
@@ -480,15 +489,70 @@ impl RrCoverage {
         for sid in self.indexed_sets..self.covered.len() {
             let a = self.set_offsets[sid] as usize;
             let b = self.set_offsets[sid + 1] as usize;
-            if !self.covered[sid] && self.set_nodes[a..b].contains(&v) {
+            if !self.covered[sid] && self.set_nodes[a..b].iter().any(|&u| holds(u)) {
                 self.drop_set(sid);
                 dropped += 1;
             }
         }
-        debug_assert_eq!(self.cov[v as usize], 0);
+        debug_assert!(nodes.iter().all(|&v| self.cov[v as usize] == 0));
         self.covered_live += dropped;
         self.total_sets -= dropped;
         dropped
+    }
+
+    /// Targeted repair after a graph delta replaced the sets of this index's
+    /// arena that held a changed-edge target (`changed[v]`) with `repl`:
+    ///
+    /// 1. tombstones the live replaced sets — a set is replaced iff it
+    ///    holds a changed node — as [`Self::tombstone_containing`] does for
+    ///    one node, with one pass over the pending tail for all of them;
+    /// 2. retracts `covered_before` from the covered total and θ — the
+    ///    replaced sets that were covered before the delta, i.e. whose
+    ///    pre-delta content held a seed. Covered sets keep no storage, so
+    ///    the caller counts them on the pre-delta arena;
+    /// 3. ingests the replacements under `is_seed`, reserving exactly the
+    ///    storage they need (a doubling `Vec` would add up to a whole live
+    ///    sample of slack to an index a rebuild had just trimmed).
+    ///
+    /// Every count ([`Self::coverage`], [`Self::covered_total`],
+    /// [`Self::num_sets`]) then equals a cold ingest of the repaired arena,
+    /// for the cost of the replaced sets instead of a rebuild over all θ.
+    /// Returns how many replacements arrived covered.
+    ///
+    /// Unweighted indexes only: a weighted index would need the replaced
+    /// covered sets' weights, and its float sums depend on ingest order.
+    pub fn repair_sets(
+        &mut self,
+        changed: &[bool],
+        covered_before: usize,
+        repl: &RrArena,
+        is_seed: &[bool],
+    ) -> usize {
+        // INVARIANT: API contract — see the doc comment.
+        assert!(!self.weighted, "repair_sets needs an unweighted index");
+        // INVARIANT: API contract — the mask defines the node space.
+        assert_eq!(changed.len(), self.n, "changed mask must cover every node");
+        let targets: Vec<NodeId> = (0..self.n as NodeId)
+            .filter(|&v| changed[v as usize])
+            .collect();
+        self.tombstone_holding(&targets, |u| changed[u as usize]);
+        // INVARIANT: API contract — the retracted sets were counted covered.
+        assert!(
+            covered_before <= self.covered_total,
+            "retracting uncounted sets"
+        );
+        self.covered_total -= covered_before;
+        self.total_sets -= covered_before;
+        let (sets, entries) = repl
+            .iter()
+            .filter(|set| !set.iter().any(|&u| is_seed[u as usize]))
+            .fold((0, 0), |(sets, entries), set| {
+                (sets + 1, entries + set.len())
+            });
+        self.set_nodes.reserve_exact(entries);
+        self.set_offsets.reserve_exact(sets);
+        self.covered.reserve_exact(sets);
+        self.add_batch(repl, is_seed)
     }
 
     /// Marks one live set dropped (tombstoned), decrementing its members'

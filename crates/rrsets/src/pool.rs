@@ -67,7 +67,7 @@
 //! multi-threaded [`PreparedSampler::sample_batch`] (itself thread-count
 //! invariant); groups with reweighted tenants grow via the traced
 //! single-threaded sampler, which is draw-for-draw identical (see
-//! `sampler::sample_tic_rr_range_traced`), so joining a reweighted tenant
+//! `sampler::sample_tic_rr_sets_traced`), so joining a reweighted tenant
 //! never changes the sets the other tenants read.
 
 use std::cell::RefCell;
@@ -78,7 +78,7 @@ use rm_graph::CsrGraph;
 
 use crate::arena::RrArena;
 use crate::sampler::{
-    gather_tic_skip_ln, sample_tic_rr_range_traced, stream_seed, threshold, PreparedSampler,
+    gather_tic_skip_ln, sample_tic_rr_sets_traced, stream_seed, threshold, PreparedSampler,
     COIN_FULL,
 };
 use crate::tim::{KptEstimator, TimConfig};
@@ -511,75 +511,31 @@ impl SharedRrPool {
             } = group;
             // INVARIANT: see `lock_group` — poisoning means a sibling
             // panicked mid-growth; propagating is the only sound response.
-            let st = state.get_mut().expect("pool group lock poisoned");
-            st.kpt.clear();
-            let invalid: Vec<usize> = (0..st.arena.len())
-                .filter(|&i| st.arena.get(i).iter().any(|&u| changed[u as usize]))
-                .collect();
-            if invalid.is_empty() {
-                continue;
-            }
-            let mut repl = RrArena::new();
-            match reweight {
-                None => {
-                    // Per-set seeds depend only on the global set index
-                    // (`first_index + i`), so a one-set batch at
-                    // `first_index = id` replays exactly set `id`'s stream.
-                    for &id in &invalid {
-                        let (one, _) = sampler.sample_batch(g, 1, *sample_seed, id as u64);
-                        repl.append(&one);
-                    }
-                }
+            let GroupState {
+                arena,
+                weights,
+                kpt,
+            } = state.get_mut().expect("pool group lock poisoned");
+            kpt.clear();
+            let repl = arena.repair_changed(changed, |_, ids| match reweight {
+                None => sampler.sample_indices(g, ids, *sample_seed),
+                // Reweighted tenants' importance weights are recomputed for
+                // exactly the resampled sets.
                 Some(rw) => {
-                    let rw_tenants: Vec<(usize, &[f32])> = specs
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(pos, t)| t.gamma.as_deref().map(|gm| (pos, gm)))
-                        .collect();
-                    for &id in &invalid {
-                        let ln_acc = RefCell::new(vec![0.0f64; rw_tenants.len()]);
-                        let new_w = RefCell::new(Vec::with_capacity(rw_tenants.len()));
-                        sample_tic_rr_range_traced(
-                            g,
-                            &rw.shared,
-                            &rw.gamma_ref,
-                            &rw.skip_ln,
-                            *sample_seed,
-                            0,
-                            id,
-                            id + 1,
-                            &mut repl,
-                            |slot, accepted| {
-                                let q = threshold(rw.shared.mixed_prob(slot, &rw.gamma_ref));
-                                let mut acc = ln_acc.borrow_mut();
-                                for (a, &(_, gamma)) in acc.iter_mut().zip(&rw_tenants) {
-                                    let t = threshold(rw.shared.mixed_prob(slot, gamma));
-                                    if t == q {
-                                        continue;
-                                    }
-                                    *a += if accepted {
-                                        (f64::from(t) / f64::from(q)).ln()
-                                    } else {
-                                        (f64::from(COIN_FULL - t) / f64::from(COIN_FULL - q)).ln()
-                                    };
-                                }
-                            },
-                            |_width| {
-                                let acc = ln_acc.borrow();
-                                let mut out = new_w.borrow_mut();
-                                for (a, &(pos, _)) in acc.iter().zip(&rw_tenants) {
-                                    out.push((pos, a.exp() as f32));
-                                }
-                            },
-                        );
-                        for (pos, w) in new_w.into_inner() {
-                            st.weights[pos][id] = w;
-                        }
-                    }
+                    let mut repl = RrArena::new();
+                    sample_reweighted(
+                        g,
+                        rw,
+                        specs,
+                        *sample_seed,
+                        ids.iter().copied(),
+                        &mut repl,
+                        |k, pos, w| weights[pos][ids[k]] = w,
+                    );
+                    repl
                 }
-            }
-            st.arena.replace_sets(&invalid, &repl);
-            resampled += invalid.len() as u64;
+            });
+            resampled += repl.len() as u64;
         }
         resampled
     }
@@ -607,60 +563,81 @@ fn grow(g: &CsrGraph, group: &PoolGroup, st: &mut GroupState, hi: usize) {
             st.arena.append(&part);
         }
         Some(rw) => {
-            // Traced single-threaded growth: bit-identical sets, plus one
-            // likelihood-ratio accumulator per reweighted tenant. Both
-            // trace callbacks need the accumulators, hence the `RefCell`
-            // (the callbacks never run reentrantly).
             let GroupState { arena, weights, .. } = st;
-            let rw_tenants: Vec<(usize, &[f32])> = group
-                .specs
-                .iter()
-                .enumerate()
-                .filter_map(|(pos, t)| t.gamma.as_deref().map(|gm| (pos, gm)))
-                .collect();
-            let ln_acc = RefCell::new(vec![0.0f64; rw_tenants.len()]);
-            sample_tic_rr_range_traced(
+            sample_reweighted(
                 g,
-                &rw.shared,
-                &rw.gamma_ref,
-                &rw.skip_ln,
+                rw,
+                &group.specs,
                 group.sample_seed,
-                0,
-                have,
-                hi,
+                have..hi,
                 arena,
-                |slot, accepted| {
-                    let q = threshold(rw.shared.mixed_prob(slot, &rw.gamma_ref));
-                    let mut acc = ln_acc.borrow_mut();
-                    for (a, &(_, gamma)) in acc.iter_mut().zip(&rw_tenants) {
-                        let t = threshold(rw.shared.mixed_prob(slot, gamma));
-                        if t == q {
-                            // Equal thresholds contribute factor 1 exactly;
-                            // skipping keeps identical-slot tenants at the
-                            // f64 constant 1.0 with zero rounding.
-                            continue;
-                        }
-                        // `accepted` implies `q > 0` (zero thresholds never
-                        // consume a draw); `!accepted` implies `q < 2²⁴`.
-                        // `t == 0` on an accepted slot gives ln 0 = −∞ and
-                        // a clean weight of 0 for this set.
-                        *a += if accepted {
-                            (f64::from(t) / f64::from(q)).ln()
-                        } else {
-                            (f64::from(COIN_FULL - t) / f64::from(COIN_FULL - q)).ln()
-                        };
-                    }
-                },
-                |_width| {
-                    let mut acc = ln_acc.borrow_mut();
-                    for (a, &(pos, _)) in acc.iter_mut().zip(&rw_tenants) {
-                        weights[pos].push(a.exp() as f32);
-                        *a = 0.0;
-                    }
-                },
+                |_, pos, w| weights[pos].push(w),
             );
         }
     }
+}
+
+/// Samples the group sets at global indices `ids` through the traced
+/// reference sampler onto `arena` (bit-identical sets, single-threaded),
+/// handing `store(k, pos, w)` the importance weight `w` of the `k`-th
+/// sampled set for every reweighted tenant `pos`. Both trace callbacks need
+/// the per-tenant likelihood-ratio accumulators, hence the `RefCell` (the
+/// callbacks never run reentrantly).
+fn sample_reweighted(
+    g: &CsrGraph,
+    rw: &ReweightTables,
+    specs: &[TenantSpec],
+    seed: u64,
+    ids: impl IntoIterator<Item = usize>,
+    arena: &mut RrArena,
+    mut store: impl FnMut(usize, usize, f32),
+) {
+    let rw_tenants: Vec<(usize, &[f32])> = specs
+        .iter()
+        .enumerate()
+        .filter_map(|(pos, t)| t.gamma.as_deref().map(|gm| (pos, gm)))
+        .collect();
+    let ln_acc = RefCell::new(vec![0.0f64; rw_tenants.len()]);
+    let mut k = 0usize;
+    sample_tic_rr_sets_traced(
+        g,
+        &rw.shared,
+        &rw.gamma_ref,
+        &rw.skip_ln,
+        seed,
+        ids,
+        arena,
+        |slot, accepted| {
+            let q = threshold(rw.shared.mixed_prob(slot, &rw.gamma_ref));
+            let mut acc = ln_acc.borrow_mut();
+            for (a, &(_, gamma)) in acc.iter_mut().zip(&rw_tenants) {
+                let t = threshold(rw.shared.mixed_prob(slot, gamma));
+                if t == q {
+                    // Equal thresholds contribute factor 1 exactly; skipping
+                    // keeps identical-slot tenants at the f64 constant 1.0
+                    // with zero rounding.
+                    continue;
+                }
+                // `accepted` implies `q > 0` (zero thresholds never consume
+                // a draw); `!accepted` implies `q < 2²⁴`. `t == 0` on an
+                // accepted slot gives ln 0 = −∞ and a clean weight of 0 for
+                // this set.
+                *a += if accepted {
+                    (f64::from(t) / f64::from(q)).ln()
+                } else {
+                    (f64::from(COIN_FULL - t) / f64::from(COIN_FULL - q)).ln()
+                };
+            }
+        },
+        |_width| {
+            let mut acc = ln_acc.borrow_mut();
+            for (a, &(pos, _)) in acc.iter_mut().zip(&rw_tenants) {
+                store(k, pos, a.exp() as f32);
+                *a = 0.0;
+            }
+            k += 1;
+        },
+    );
 }
 
 #[cfg(test)]
@@ -1035,6 +1012,61 @@ mod tests {
             assert_eq!(w.unwrap(), &want_w[..], "weights must be recomputed");
         })
         .unwrap();
+    }
+
+    #[test]
+    fn reweighted_index_list_matches_per_set_sets_and_weights() {
+        // Delta repair replays a reweighted group's invalidated sets in one
+        // traced call; sets and importance weights must equal one call per
+        // set and the weights growth recorded at those indices.
+        let g = star_chain();
+        let tic = star_chain_tic(&g);
+        let models = vec![
+            DiffusionModel::tic(Arc::clone(&tic), TopicDistribution::uniform(2)),
+            DiffusionModel::tic(Arc::clone(&tic), TopicDistribution::new(&[0.7, 0.3])),
+            DiffusionModel::tic(Arc::clone(&tic), TopicDistribution::new(&[0.4, 0.6])),
+        ];
+        let pool = SharedRrPool::build(&g, &models, 5, usize::MAX);
+        assert_eq!(pool.reweighted_ads(), 2);
+        let group = &pool.groups[0];
+        let rw = group.reweight.as_ref().unwrap();
+        let ids: Vec<usize> = (0..2500).filter(|i| i % 5 == 1 || i % 13 == 0).collect();
+        let sample = |ids: &[usize]| {
+            let mut arena = RrArena::new();
+            let mut w = vec![Vec::new(); group.specs.len()];
+            let seed = group.sample_seed;
+            sample_reweighted(
+                &g,
+                rw,
+                &group.specs,
+                seed,
+                ids.iter().copied(),
+                &mut arena,
+                |_, pos, x| w[pos].push(x),
+            );
+            (arena, w)
+        };
+        let (got, got_w) = sample(&ids);
+        let mut want = (RrArena::new(), vec![Vec::new(); group.specs.len()]);
+        for &id in &ids {
+            let (a, w) = sample(&[id]);
+            want.0.append(&a);
+            for (acc, x) in want.1.iter_mut().zip(w) {
+                acc.extend(x);
+            }
+        }
+        assert_eq!((&got, &got_w), (&want.0, &want.1));
+        for ad in [1, 2] {
+            let pos = pool.assignment[ad].unwrap().1;
+            pool.with_range(&g, ad, 0, 2500, |arena, _, _, w| {
+                let w = w.unwrap();
+                for (k, &id) in ids.iter().enumerate() {
+                    assert_eq!(arena.get(id), got.get(k));
+                    assert_eq!(w[id].to_bits(), got_w[pos][k].to_bits());
+                }
+            })
+            .unwrap();
+        }
     }
 
     #[test]

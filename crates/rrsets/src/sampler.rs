@@ -472,22 +472,22 @@ fn sample_tic_rr_set_into_traced(
     width
 }
 
-/// Samples the set-index range `lo..hi` of the logical stream `(seed,
-/// first_index)` onto `arena`, tracing per-slot decisions. Per-set seeds are
-/// derived exactly like [`PreparedSampler::sample_batch`]'s
-/// (`mix64(mix64(seed) ^ (first_index + idx))`), so the appended sets are
-/// bit-identical to an untraced batch over the same range. `on_set_done`
-/// fires after each set with its width, delimiting the decision stream.
+/// Samples the sets at global indices `ids` of the logical stream `seed`
+/// onto `arena`, in `ids` order, tracing per-slot decisions. Per-set seeds
+/// are derived exactly like [`PreparedSampler::sample_batch`]'s
+/// (`mix64(mix64(seed) ^ id)`), so the appended sets are bit-identical to an
+/// untraced batch (or [`PreparedSampler::sample_indices`]) over the same
+/// indices. One workspace serves every set: pool growth passes a range,
+/// delta repair the invalidated ids. `on_set_done` fires after each set with
+/// its width, delimiting the decision stream.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn sample_tic_rr_range_traced(
+pub(crate) fn sample_tic_rr_sets_traced(
     g: &CsrGraph,
     shared: &TicInSlots,
     gamma: &[f32],
     skip_ln: &[f64],
     seed: u64,
-    first_index: u64,
-    lo: usize,
-    hi: usize,
+    ids: impl IntoIterator<Item = usize>,
     arena: &mut RrArena,
     mut on_decide: impl FnMut(usize, bool),
     mut on_set_done: impl FnMut(u64),
@@ -495,8 +495,8 @@ pub(crate) fn sample_tic_rr_range_traced(
     debug_assert!(g.num_nodes() > 0, "cannot sample from an empty graph");
     let base = mix64(seed);
     let mut ws = RrWorkspace::new(g.num_nodes());
-    for idx in lo..hi {
-        let set_seed = mix64(base ^ (first_index + idx as u64));
+    for id in ids {
+        let set_seed = mix64(base ^ id as u64);
         let width = sample_tic_rr_set_into_traced(
             g,
             shared,
@@ -724,7 +724,27 @@ impl Tables {
     }
 }
 
-/// Samples the contiguous set-index range `lo..hi` into a fresh arena,
+/// The global set indices one sampling call draws: a contiguous run from
+/// `first_index` (sample growth), or an explicit list (delta repair). Only
+/// the list form stores indices — a contiguous batch never builds one.
+#[derive(Clone, Copy)]
+enum SetIds<'a> {
+    Range(u64),
+    List(&'a [usize]),
+}
+
+impl SetIds<'_> {
+    /// Global index of the call's `pos`-th set.
+    #[inline]
+    fn at(self, pos: usize) -> u64 {
+        match self {
+            SetIds::Range(first_index) => first_index + pos as u64,
+            SetIds::List(ids) => ids[pos] as u64,
+        }
+    }
+}
+
+/// Samples the call positions `lo..hi` of `ids` into a fresh arena,
 /// reusing `ws` across calls — the visited array is O(n), so it must be
 /// per-worker state, not per-block (at n = 10⁷ a fresh workspace per block
 /// would zero 10 MB every thousand sets).
@@ -732,7 +752,7 @@ fn sample_range(
     g: &CsrGraph,
     tables: &Tables,
     base: u64,
-    first_index: u64,
+    ids: SetIds,
     lo: usize,
     hi: usize,
     ws: &mut RrWorkspace,
@@ -743,15 +763,15 @@ fn sample_range(
     // Mean set size is unknown up front; after a pilot prefix, extrapolate
     // it so the node storage grows once instead of doubling repeatedly.
     let pilot = 512.min(count);
-    for idx in lo..lo + pilot {
-        let set_seed = mix64(base ^ (first_index + idx as u64));
+    for pos in lo..lo + pilot {
+        let set_seed = mix64(base ^ ids.at(pos));
         widths.push(tables.sample_one(g, ws, set_seed, &mut arena));
     }
     if pilot < count {
         let projected = arena.total_nodes() * count / pilot;
         arena.reserve_nodes(projected + projected / 8);
-        for idx in lo + pilot..hi {
-            let set_seed = mix64(base ^ (first_index + idx as u64));
+        for pos in lo + pilot..hi {
+            let set_seed = mix64(base ^ ids.at(pos));
             widths.push(tables.sample_one(g, ws, set_seed, &mut arena));
         }
     }
@@ -897,6 +917,29 @@ impl PreparedSampler {
         seed: u64,
         first_index: u64,
     ) -> (RrArena, Vec<u64>) {
+        self.sample_ids(g, count, seed, SetIds::Range(first_index))
+    }
+
+    /// Replays the sets at global indices `ids` of the stream `seed` — the
+    /// sets a [`Self::sample_batch`] over any range covering them would
+    /// produce at those indices — into one arena, in `ids` order. This is
+    /// the graph-delta resample primitive: one reused workspace per worker
+    /// and the same work-stealing blocks as `sample_batch`, bit-identical to
+    /// replaying each set with its own one-set `sample_batch` because
+    /// per-set seeds are pure in the global index.
+    pub fn sample_indices(&self, g: &CsrGraph, ids: &[usize], seed: u64) -> RrArena {
+        self.sample_ids(g, ids.len(), seed, SetIds::List(ids)).0
+    }
+
+    /// The shared block loop of [`Self::sample_batch`] and
+    /// [`Self::sample_indices`]: `count` sets at the global indices `ids`.
+    fn sample_ids(
+        &self,
+        g: &CsrGraph,
+        count: usize,
+        seed: u64,
+        ids: SetIds,
+    ) -> (RrArena, Vec<u64>) {
         debug_assert_eq!(
             self.tables.num_slots(),
             g.num_edges(),
@@ -920,7 +963,7 @@ impl PreparedSampler {
         .min(32);
         if threads == 1 {
             let mut ws = RrWorkspace::new(g.num_nodes());
-            return sample_range(g, &self.tables, base, first_index, 0, count, &mut ws);
+            return sample_range(g, &self.tables, base, ids, 0, count, &mut ws);
         }
         let cursor = std::sync::atomic::AtomicUsize::new(0);
         let mut parts: Vec<(usize, RrArena, Vec<u64>)> = Vec::with_capacity(nblocks);
@@ -939,7 +982,7 @@ impl PreparedSampler {
                             let lo = b * STEAL_BLOCK;
                             let hi = (lo + STEAL_BLOCK).min(count);
                             let (arena, widths) =
-                                sample_range(g, tables, base, first_index, lo, hi, &mut ws);
+                                sample_range(g, tables, base, ids, lo, hi, &mut ws);
                             local.push((b, arena, widths));
                         }
                         local
@@ -1374,15 +1417,13 @@ mod tests {
         let mut arena = RrArena::new();
         let mut widths = Vec::new();
         let mut decisions = 0usize;
-        sample_tic_rr_range_traced(
+        sample_tic_rr_sets_traced(
             &g,
             &shared,
             &gamma,
             &skip_ln,
             77,
-            0,
-            0,
-            300,
+            0..300,
             &mut arena,
             |_slot, _accepted| decisions += 1,
             |w| widths.push(w),
@@ -1393,21 +1434,64 @@ mod tests {
         // Split ranges continue the same logical stream.
         let mut split = RrArena::new();
         for (lo, hi) in [(0usize, 100usize), (100, 300)] {
-            sample_tic_rr_range_traced(
+            sample_tic_rr_sets_traced(
                 &g,
                 &shared,
                 &gamma,
                 &skip_ln,
                 77,
-                0,
-                lo,
-                hi,
+                lo..hi,
                 &mut split,
                 |_, _| {},
                 |_| {},
             );
         }
         assert_eq!(split, want);
+    }
+
+    #[test]
+    fn tic_traced_index_list_matches_per_set_calls() {
+        // The index-list form (one workspace for every id) must replay the
+        // same sets, widths and decision stream as one traced call per id.
+        use rm_diffusion::{TicModel, TopicDistribution};
+        let mut edges: Vec<(u32, u32)> = (0..20).map(|leaf| (leaf, 20)).collect();
+        edges.extend([(20, 21), (21, 22), (22, 0)]);
+        let g = graph_from_edges(23, &edges);
+        let probs: Vec<f32> = (0..g.num_edges()).flat_map(|_| [0.8, 0.2]).collect();
+        let tic = std::sync::Arc::new(TicModel::from_matrix(&g, 2, probs));
+        let shared = tic.in_slot_view(&g);
+        let gamma = TopicDistribution::uniform(2).weights().to_vec();
+        let skip_ln = gather_tic_skip_ln(&g, &shared, &gamma);
+        let ids: Vec<usize> = (0..3000).filter(|i| i % 7 == 3 || i % 11 == 0).collect();
+        let run = |ids: &[usize]| {
+            let mut arena = RrArena::new();
+            let (mut decisions, mut widths) = (Vec::new(), Vec::new());
+            sample_tic_rr_sets_traced(
+                &g,
+                &shared,
+                &gamma,
+                &skip_ln,
+                41,
+                ids.iter().copied(),
+                &mut arena,
+                |slot, accepted| decisions.push((slot, accepted)),
+                |w| widths.push(w),
+            );
+            (arena, decisions, widths)
+        };
+        let mut want = (RrArena::new(), Vec::new(), Vec::new());
+        for &id in &ids {
+            let (a, d, w) = run(&[id]);
+            want.0.append(&a);
+            want.1.extend(d);
+            want.2.extend(w);
+        }
+        assert_eq!(run(&ids), want);
+        let sampler = PreparedSampler::for_model(
+            &g,
+            &DiffusionModel::tic(tic, TopicDistribution::uniform(2)),
+        );
+        assert_eq!(want.0, sampler.sample_indices(&g, &ids, 41));
     }
 
     #[test]
